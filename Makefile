@@ -4,16 +4,13 @@
 # gquery token fleet, privcrypto batch helpers, smc parallel protocols,
 # obs registry), short fuzz passes over the wire-facing decoders, the
 # determinism lint, the metrics smoke run, the multi-process scenario
-# gate (pdsd over the TCP substrate), and a coverage summary.
+# gate (pdsd over the TCP substrate), the benchmark module's own vet and
+# tests, and a coverage summary.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci build test vet race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 bench-snapshot bench-snapshot-ci
-
-# Where `make bench-snapshot` writes the perf snapshot. Committed per PR
-# (BENCH_PR<n>.json) so performance trajectories stay diffable.
-BENCH_OUT ?= BENCH_PR9.json
+.PHONY: ci build test vet race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 perfbench-ci
 
 build:
 	$(GO) build ./...
@@ -133,18 +130,15 @@ cover-recovery:
 	check ./internal/crashharness 75; \
 	check ./internal/flash 75
 
-ci: vet build test race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-snapshot-ci
+ci: vet build test race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix-ci scenario-ci serve-ci telemetry-ci perfbench-ci
 
 # Serial-vs-parallel perf trajectory for the Part III protocols.
 bench-part3:
 	$(GO) test -run xxx -bench 'E6SecureAgg|E6NoiseControlled|E7Paillier' -benchmem .
 
-# Machine-readable perf snapshot (ns/op, B/op, allocs/op + simulated
-# critical-path and wire totals) for the benchmark-trajectory record.
-bench-snapshot:
-	$(GO) run ./cmd/pdsbench -bench-snapshot $(BENCH_OUT)
-
-# CI flavor: quick sweep to a throwaway artifact, never fails the gate —
-# the point is catching crashes in the harness, not enforcing perf.
-bench-snapshot-ci:
-	-$(GO) run ./cmd/pdsbench -bench-snapshot /tmp/bench-ci.json -quick
+# The benchmark (perfbench/, run by `python3 perfbench/run.py`) is a
+# module of its own, so the root `go test ./...` never builds it: vet and
+# test it here, so an API change in the packages it drives cannot break
+# the benchmark unnoticed.
+perfbench-ci:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...

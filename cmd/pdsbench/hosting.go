@@ -84,32 +84,3 @@ func runE22(cfg config) error {
 	fmt.Println("residency for churn: evictions and reopen I/O rise, RAM high-water does not.")
 	return nil
 }
-
-// e22Specs contributes the hosting rows to the benchmark snapshot:
-// wall clock for one full serve run, sim time = the virtual makespan of
-// the schedule (the last completion instant).
-func e22Specs(quick bool) []benchSpec {
-	mk := func(name string, pt e22Point) benchSpec {
-		return benchSpec{
-			name: name,
-			once: func() (time.Duration, simTotals, error) {
-				start := time.Now()
-				rep, err := tenant.Serve(e22Config(pt), nil)
-				if err != nil {
-					return 0, simTotals{}, err
-				}
-				return time.Since(start), simTotals{criticalNS: rep.DurationNS}, nil
-			},
-		}
-	}
-	if quick {
-		return []benchSpec{
-			mk("E22Serve", e22Point{250, 2000}),
-			mk("E22ServeOverload", e22Point{100, 16000}),
-		}
-	}
-	return []benchSpec{
-		mk("E22Serve", e22Point{1000, 2000}),
-		mk("E22ServeOverload", e22Point{250, 16000}),
-	}
-}

@@ -11,7 +11,6 @@
 //	pdsbench -quick           # smaller sweeps (CI-friendly)
 //	pdsbench -metrics m.json  # also dump the obs metrics snapshot ('-' = stdout)
 //	pdsbench -trace t.json    # also dump the span tree as Perfetto JSON
-//	pdsbench -bench-snapshot BENCH.json  # run the benchmark suite, write a perf snapshot, exit
 package main
 
 import (
@@ -69,16 +68,7 @@ func main() {
 	quick := flag.Bool("quick", false, "run reduced sweeps")
 	metrics := flag.String("metrics", "", "write the obs metrics snapshot as JSON to this file ('-' = stdout)")
 	trace := flag.String("trace", "", "write the span tree as Chrome trace-event / Perfetto JSON to this file ('-' = stdout)")
-	benchSnap := flag.String("bench-snapshot", "", "run the benchmark suite and write a machine-readable perf snapshot to this file, then exit")
 	flag.Parse()
-
-	if *benchSnap != "" {
-		if err := runBenchSnapshot(*benchSnap, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	if *expFlag != "all" {

@@ -9,6 +9,9 @@ import (
 	"pds/internal/workload"
 )
 
+// benchSnapSeed seeds the regression gate's participant stream.
+const benchSnapSeed = 42
+
 // TestE20TreeCriticalPathRegression is the perf gate on the hierarchical
 // fold plane: at 1e4 tokens the tree topology's simulated critical path
 // must be strictly below the flat plane's (the whole point of the O(log n)

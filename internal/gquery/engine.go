@@ -1,8 +1,6 @@
 package gquery
 
 import (
-	"time"
-
 	"pds/internal/netsim"
 	"pds/internal/obs"
 	"pds/internal/privcrypto"
@@ -55,23 +53,11 @@ func WithRetries(n int) Option {
 	return func(c *RunConfig) { c.MaxRetries = n }
 }
 
-// WithBackoff sets the base simulated retransmission wait under
-// WithFaults; <= 0 selects netsim.DefaultBackoff.
-func WithBackoff(d time.Duration) Option {
-	return func(c *RunConfig) { c.Backoff = d }
-}
-
 // WithTopology selects the fan-in structure of the aggregation plane:
 // Flat() (the default) or Tree(arity). Results are identical across
 // topologies; the critical path is not — that is the point.
 func WithTopology(t Topology) Option {
 	return func(c *RunConfig) { c.Topology = t }
-}
-
-// WithMaxInflight bounds how many filled-but-unfolded chunks a
-// streaming run may buffer at once (see SecureAggStream).
-func WithMaxInflight(n int) Option {
-	return func(c *RunConfig) { c.MaxInflight = n }
 }
 
 // WithObserver merges every run's metrics and spans into reg at the end of

@@ -5,7 +5,78 @@ import (
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
+	"pds/internal/ssi"
 )
+
+// collector uploads the fleet's tuples to the SSI — the collection
+// phase every protocol shares. Every PDS is its own serial resource, so
+// collection is charged at the slowest single PDS's upload, not the
+// fleet's sum. The collector also accumulates the tuple-id checksum a
+// complete, untampered run must reproduce: each PDS registers what it
+// sent with the querier.
+type collector struct {
+	tp  *transport
+	srv Infra
+
+	makespan  time.Duration
+	wantID    uint64
+	wantCount int64
+}
+
+// upload sends one PDS's n payloads, built in order by payload(i).
+func (c *collector) upload(pds string, n int, payload func(i int) ([]byte, error)) error {
+	var up netsim.Stats
+	for i := 0; i < n; i++ {
+		p, err := payload(i)
+		if err != nil {
+			return err
+		}
+		up.Messages++
+		up.Bytes += int64(len(p))
+		if err := c.tp.send(netsim.Envelope{From: pds, To: c.srv.Dest(pds), Kind: "tuple", Payload: p}, c.srv.Receive); err != nil {
+			return err
+		}
+	}
+	if d := up.Time(c.tp.ro.cost); d > c.makespan {
+		c.makespan = d
+	}
+	return nil
+}
+
+// uploadTuples sends one PDS's tuples, one sealed envelope each: the
+// protocol's clear header for the SSI (nil for secure aggregation),
+// then the tuple's non-deterministic ciphertext.
+func (c *collector) uploadTuples(kr *Keyring, pds string, tuples []tuplePlain, header func(t tuplePlain) ([]byte, error)) error {
+	return c.upload(pds, len(tuples), func(i int) ([]byte, error) {
+		t := tuples[i]
+		var hdr []byte
+		if header != nil {
+			var err error
+			if hdr, err = header(t); err != nil {
+				return nil, err
+			}
+		}
+		ct, err := kr.NonDet.Encrypt(encodeTuplePlain(t))
+		if err != nil {
+			return nil, err
+		}
+		c.wantID += t.ID
+		c.wantCount++
+		if hdr != nil {
+			ct = append(hdr, ct...)
+		}
+		return seal(kr, ct), nil
+	})
+}
+
+// pdsTuples numbers a participant's tuples under its id sequence.
+func pdsTuples(p Participant) []tuplePlain {
+	ts := make([]tuplePlain, len(p.Tuples))
+	for seq, t := range p.Tuples {
+		ts[seq] = tuplePlain{ID: ssi.HashID(p.ID, seq), Group: t.Group, Value: t.Value}
+	}
+	return ts
+}
 
 // foldJob describes one token-fold work item: which worker token runs
 // it, the wire kind of the SSI → token dispatch leg, and how the chunk
@@ -21,19 +92,16 @@ type foldJob struct {
 // errors through out.err; runFold stops the chunk on the latter.
 type envProcessor func(out *chunkOutcome, e netsim.Envelope)
 
-// sealPartialFn builds the wire payload of the token's partial upload;
-// nil skips the upload (e.g. the noise protocol's forged batch, whose
-// partial only rides locally in the flat topology).
-type sealPartialFn func(out *chunkOutcome) ([]byte, error)
-
 // runFold executes the per-token fold step every protocol and topology
 // shares. The dispatch span is the "SSI partition message" handing the
-// chunk to its worker: every wire frame of the chunk carries its
-// context, so the token's fold span attaches under it even across
-// retransmits and duplicated deliveries. The outcome records the
-// chunk's clean-model wire traffic, which the tree scheduler uses to
-// place the leaf on its virtual timeline.
-func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProcessor, sealFn sealPartialFn) chunkOutcome {
+// chunk to its worker, parented under the partition phase — or, in a
+// streaming run, whose SSI partitions inline before that phase opens,
+// under collection: every wire frame of the chunk carries its context,
+// so the token's fold span attaches under it even across retransmits
+// and duplicated deliveries.
+// The outcome records the chunk's clean-model wire traffic, which the
+// fold plane uses to place the leaf on its virtual timeline.
+func (tp *transport) runFold(kr *Keyring, job foldJob, envs []netsim.Envelope, proc envProcessor) chunkOutcome {
 	disp := tp.ro.span("ssi-dispatch", PhasePartition, "chunk", job.label, "worker", job.worker)
 	defer disp.End()
 	var fold *obs.Span
@@ -56,13 +124,9 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 			return out
 		}
 	}
-	if sealFn == nil {
-		return out
-	}
-	// Worker → SSI → merge plane: the partial rides sealed (and, for the
-	// protocols that verify it downstream, non-deterministically
-	// encrypted).
-	payload, err := sealFn(&out)
+	// Worker → SSI → fold plane: the partial rides sealed and
+	// non-deterministically encrypted.
+	payload, err := sealPartial(kr, out.partial)
 	if err != nil {
 		out.err = err
 		return out
@@ -76,29 +140,43 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 	return out
 }
 
-// sealedPartial is the sealPartialFn of the protocols whose partials are
-// verified downstream: encode, encrypt non-deterministically, MAC.
-func sealedPartial(kr *Keyring) sealPartialFn {
-	return func(out *chunkOutcome) ([]byte, error) {
-		pct, err := kr.NonDet.Encrypt(encodePartial(out.partial))
-		if err != nil {
-			return nil, err
-		}
-		return seal(kr, pct), nil
+// sealPartial is a partial's wire form: encode, encrypt
+// non-deterministically, MAC.
+func sealPartial(kr *Keyring, p partialAgg) ([]byte, error) {
+	pct, err := kr.NonDet.Encrypt(encodePartial(p))
+	if err != nil {
+		return nil, err
 	}
+	return seal(kr, pct), nil
 }
 
-// tupleProcessor folds one secure-agg envelope: verify the MAC, decrypt,
-// decode, accumulate (fakes contribute to the checksum only).
-func tupleProcessor(kr *Keyring) envProcessor {
-	return func(out *chunkOutcome, e netsim.Envelope) {
-		ct, err := open(kr, e.Payload)
-		if err != nil {
-			out.macFailures++
-			return
+// openSealed verifies a sealed payload, skips the clear header of
+// hdr(body) bytes (nil: none) and decrypts the rest; ok=false is an
+// integrity failure (SSI tampering), while a decode error of the
+// plaintext aborts the run.
+func openSealed(kr *Keyring, payload []byte, hdr func(body []byte) int) ([]byte, bool) {
+	body, err := open(kr, payload)
+	if err != nil {
+		return nil, false
+	}
+	if hdr != nil {
+		n := hdr(body)
+		if n > len(body) {
+			return nil, false
 		}
-		pt, err := kr.NonDet.Decrypt(ct)
-		if err != nil {
+		body = body[n:]
+	}
+	pt, err := kr.NonDet.Decrypt(body)
+	return pt, err == nil
+}
+
+// tupleProcessor folds one tuple envelope: open it behind the
+// protocol's clear header and accumulate it under key(t) — fakes
+// contribute to the checksum only.
+func tupleProcessor(kr *Keyring, hdr func(body []byte) int, key func(t tuplePlain) string) envProcessor {
+	return func(out *chunkOutcome, e netsim.Envelope) {
+		pt, ok := openSealed(kr, e.Payload, hdr)
+		if !ok {
 			out.macFailures++
 			return
 		}
@@ -110,43 +188,11 @@ func tupleProcessor(kr *Keyring) envProcessor {
 		out.partial.IDSum += t.ID
 		out.partial.Count++
 		if !t.Fake {
-			out.partial.Aggs[t.Group] = out.partial.Aggs[t.Group].Fold(t.Value)
+			k := key(t)
+			out.partial.Aggs[k] = out.partial.Aggs[k].Fold(t.Value)
 		}
 	}
 }
 
-// leafPartial is one level-0 input of the tree reduce: a worker token's
-// partial, its wire form, and when — in fold-phase-relative virtual
-// time — it becomes available to a parent.
-type leafPartial struct {
-	partial partialAgg
-	sealed  []byte
-	worker  string
-	end     time.Duration
-}
-
-// foldOutcomes folds per-token outcomes into stats in deterministic
-// chunk order, returning both the flat partial list and the leaf inputs
-// a tree reduce needs.
-func (tp *transport) foldOutcomes(outs []chunkOutcome, stats *RunStats) ([]partialAgg, []leafPartial, error) {
-	var partials []partialAgg
-	leaves := make([]leafPartial, 0, len(outs))
-	for _, out := range outs {
-		stats.MACFailures += out.macFailures
-		if out.macFailures > 0 {
-			stats.Detected = true
-		}
-		if out.err != nil {
-			return nil, nil, out.err
-		}
-		stats.WorkerCalls++
-		partials = append(partials, out.partial)
-		leaves = append(leaves, leafPartial{
-			partial: out.partial,
-			sealed:  out.sealed,
-			worker:  out.worker,
-			end:     out.wire.Time(tp.ro.cost),
-		})
-	}
-	return partials, leaves, nil
-}
+// byGroup keys a tuple under its own group.
+func byGroup(t tuplePlain) string { return t.Group }

@@ -343,33 +343,35 @@ func decodePartial(data []byte) (partialAgg, error) {
 // expectedChecksum is what the final token knows a complete, untampered
 // run must sum to: every participant registered its tuple count with the
 // querier, so ids are reconstructible.
-func expectedChecksum(parts []Participant, fakesPer map[string]int) (uint64, int64) {
+func expectedChecksum(parts []Participant) (uint64, int64) {
 	var idSum uint64
 	var count int64
 	for _, p := range parts {
-		n := len(p.Tuples) + fakesPer[p.ID]
-		for seq := 0; seq < n; seq++ {
+		for seq := range p.Tuples {
 			idSum += ssi.HashID(p.ID, seq)
 		}
-		count += int64(n)
+		count += int64(len(p.Tuples))
 	}
 	return idSum, count
 }
 
+// merge folds another partial into p.
+func (p *partialAgg) merge(o partialAgg) {
+	p.IDSum += o.IDSum
+	p.Count += o.Count
+	for g, a := range o.Aggs {
+		p.Aggs[g] = p.Aggs[g].Merge(a)
+	}
+}
+
 // mergePartials folds worker outputs and runs the integrity check.
 func mergePartials(partials []partialAgg, wantIDSum uint64, wantCount int64) (Result, bool) {
-	res := Result{}
-	var idSum uint64
-	var count int64
+	all := partialAgg{Aggs: Result{}}
 	for _, p := range partials {
-		idSum += p.IDSum
-		count += p.Count
-		for g, a := range p.Aggs {
-			res[g] = res[g].Merge(a)
-		}
+		all.merge(p)
 	}
-	detected := idSum != wantIDSum || count != wantCount
-	return res, detected
+	detected := all.IDSum != wantIDSum || all.Count != wantCount
+	return Result(all.Aggs), detected
 }
 
 // PlainResult computes the ground-truth aggregate directly — the reference

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"pds/internal/netsim"
-	"pds/internal/ssi"
 	tnet "pds/internal/transport"
 )
 
@@ -107,34 +106,22 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	defer tp.close()
 
 	// Collection: bucket id rides in clear, everything else encrypted.
+	col := &collector{tp: tp, srv: srv}
+	header := func(t tuplePlain) ([]byte, error) {
+		bkt := BucketOf(buckets, t.Group)
+		if bkt < 0 {
+			return nil, fmt.Errorf("gquery: group %q outside bucketized domain", t.Group)
+		}
+		return binary.LittleEndian.AppendUint16(nil, uint16(bkt)), nil
+	}
 	for _, p := range parts {
-		for seq, t := range p.Tuples {
-			bkt := BucketOf(buckets, t.Group)
-			if bkt < 0 {
-				return nil, stats, fmt.Errorf("gquery: group %q outside bucketized domain", t.Group)
-			}
-			pt := encodeTuplePlain(tuplePlain{
-				ID:    ssi.HashID(p.ID, seq),
-				Group: t.Group,
-				Value: t.Value,
-			})
-			vct, err := kr.NonDet.Encrypt(pt)
-			if err != nil {
-				return nil, stats, err
-			}
-			body := make([]byte, 2+len(vct))
-			binary.LittleEndian.PutUint16(body[:2], uint16(bkt))
-			copy(body[2:], vct)
-			if err := tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: seal(kr, body),
-			}, srv.Receive); err != nil {
-				return nil, stats, err
-			}
+		if err := col.uploadTuples(kr, p.ID, pdsTuples(p), header); err != nil {
+			return nil, stats, err
 		}
 	}
 	// Phase barrier: delayed uploads surface before partitioning.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phasePar(PhasePartition, col.makespan)
 	srv.BindTrace(tp.ro.curCtx())
 
 	chunks, err := srv.Partition(1 << 30)
@@ -158,78 +145,41 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	tp.phase(PhaseTokenFold)
 
 	// Aggregation per bucket, fanned out over the token fleet in sorted
-	// bucket order so folding is deterministic.
+	// bucket order so folding is deterministic. The bucket aggregate
+	// lives in the partial's Aggs map under the bucket id's decimal key,
+	// so per-bucket aggregates survive the fold plane's merges without
+	// collapsing into each other.
 	ids := make([]int, 0, len(byBucket))
 	for bkt := range byBucket {
 		ids = append(ids, bkt)
 	}
 	sort.Ints(ids)
-	// The bucket aggregate lives in the partial's Aggs map under the
-	// bucket id's decimal key, so per-bucket aggregates survive a tree
-	// merge without collapsing into each other. In the flat topology the
-	// wire partial stays the historical 48-byte placeholder (the final
-	// token only checks idSum/count); in the tree topology partials must
-	// actually ride upward, so they are sealed for real.
-	sealFn := func(out *chunkOutcome) ([]byte, error) { return make([]byte, 48), nil }
-	if cfg.Topology.IsTree() {
-		sealFn = sealedPartial(kr)
-	}
+	skipBucket := func([]byte) int { return 2 }
 	outs := make([]chunkOutcome, len(ids))
 	cfg.forEachChunk(len(ids), func(i int) {
 		key := strconv.Itoa(ids[i])
-		proc := func(out *chunkOutcome, e netsim.Envelope) {
-			body, err := open(kr, e.Payload)
-			if err != nil {
-				out.macFailures++
-				return
-			}
-			pt, err := kr.NonDet.Decrypt(body[2:])
-			if err != nil {
-				out.macFailures++
-				return
-			}
-			t, err := decodeTuplePlain(pt)
-			if err != nil {
-				out.err = err
-				return
-			}
-			out.partial.IDSum += t.ID
-			out.partial.Count++
-			out.partial.Aggs[key] = out.partial.Aggs[key].Fold(t.Value)
-		}
-		outs[i] = tp.runFold(
+		outs[i] = tp.runFold(kr,
 			foldJob{worker: parts[i%len(parts)].ID, kind: "bucket-chunk", label: key},
-			byBucket[ids[i]], proc, sealFn)
+			byBucket[ids[i]], tupleProcessor(kr, skipBucket, func(tuplePlain) string { return key }))
 	})
-	partials, leaves, err := tp.foldOutcomes(outs, &stats)
+	partials, err := tp.foldAll(kr, cfg.Topology, outs, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-
-	if cfg.Topology.IsTree() {
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.Topology.Arity(), &stats); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		tp.phase(PhaseMerge)
-	}
 	tp.barrier(nil)
-	res := BucketResult{}
-	var idSum uint64
-	var count int64
+	all := partialAgg{Aggs: map[string]GroupAgg{}}
 	for _, p := range partials {
-		idSum += p.IDSum
-		count += p.Count
-		for key, agg := range p.Aggs {
-			// Bucket -1 collects malformed envelopes: flagged by the
-			// token, excluded from the result.
-			if bkt, err := strconv.Atoi(key); err == nil && bkt >= 0 {
-				res[bkt] = res[bkt].Merge(agg)
-			}
+		all.merge(p)
+	}
+	res := BucketResult{}
+	for key, agg := range all.Aggs {
+		// Bucket -1 collects malformed envelopes: flagged by the
+		// token, excluded from the result.
+		if bkt, err := strconv.Atoi(key); err == nil && bkt >= 0 {
+			res[bkt] = agg
 		}
 	}
-	wantID, wantCount := expectedChecksum(parts, nil)
-	if idSum != wantID || count != wantCount {
+	if all.IDSum != col.wantID || all.Count != col.wantCount {
 		stats.Detected = true
 	}
 	tp.finish(&stats)

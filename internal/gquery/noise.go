@@ -62,45 +62,27 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		return nil, stats, fmt.Errorf("gquery: noise needs a public domain")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	fakesPer := map[string]int{}
 	tp := newTransport(w, cfg, "noise")
 	defer tp.close()
 
 	// Collection: true tuples first, then fakes, under one id sequence.
+	// The clear header is the deterministic group ciphertext.
+	col := &collector{tp: tp, srv: srv}
+	header := func(t tuplePlain) ([]byte, error) {
+		gct, err := kr.Det.Encrypt([]byte(t.Group))
+		if err != nil {
+			return nil, err
+		}
+		hdr := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(gct)), uint16(len(gct)))
+		return append(hdr, gct...), nil
+	}
 	for _, p := range parts {
-		seq := 0
-		send := func(group string, value int64, fake bool) error {
-			pt := encodeTuplePlain(tuplePlain{
-				ID:    ssi.HashID(p.ID, seq),
-				Group: group,
-				Value: value,
-				Fake:  fake,
-			})
-			seq++
-			gct, err := kr.Det.Encrypt([]byte(group))
-			if err != nil {
-				return err
-			}
-			vct, err := kr.NonDet.Encrypt(pt)
-			if err != nil {
-				return err
-			}
-			payload := make([]byte, 2+len(gct)+len(vct))
-			binary.LittleEndian.PutUint16(payload[:2], uint16(len(gct)))
-			copy(payload[2:], gct)
-			copy(payload[2+len(gct):], vct)
-			return tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: seal(kr, payload),
-			}, srv.Receive)
-		}
-		held := map[string]bool{}
-		for _, t := range p.Tuples {
-			held[t.Group] = true
-			if err := send(t.Group, t.Value, false); err != nil {
-				return nil, stats, err
-			}
-		}
+		tuples := pdsTuples(p)
 		if kind != NoNoise {
+			held := map[string]bool{}
+			for _, t := range p.Tuples {
+				held[t.Group] = true
+			}
 			nf := int(noisePerTuple * float64(len(p.Tuples)))
 			if rng.Float64() < noisePerTuple*float64(len(p.Tuples))-float64(nf) {
 				nf++
@@ -110,18 +92,18 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 				if !ok {
 					break // domain exhausted for controlled noise
 				}
-				if err := send(g, 0, true); err != nil {
-					return nil, stats, err
-				}
-				fakesPer[p.ID]++
+				tuples = append(tuples, tuplePlain{ID: ssi.HashID(p.ID, len(tuples)), Group: g, Fake: true})
 				stats.FakeTuples++
 			}
+		}
+		if err := col.uploadTuples(kr, p.ID, tuples, header); err != nil {
+			return nil, stats, err
 		}
 	}
 
 	// Phase barrier: delayed uploads surface before grouping.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phasePar(PhasePartition, col.makespan)
 	srv.BindTrace(tp.ro.curCtx())
 
 	// The SSI groups by equal deterministic ciphertext — its whole
@@ -150,74 +132,37 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	// Aggregation: one token call per observed group, fanned out over the
 	// fleet. Schedule groups in sorted order so worker assignment and
 	// partial folding are deterministic regardless of pool size.
+	// Malformed envelopes ride last, in a batch of their own that a token
+	// flags like any other.
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	// processEnv is the noise protocol's envelope fold: skip past the
-	// deterministic group ciphertext, decrypt the tuple, discard fakes.
-	processEnv := func(out *chunkOutcome, env netsim.Envelope) {
-		body, err := open(kr, env.Payload)
-		if err != nil {
-			out.macFailures++
-			return
-		}
-		n := int(binary.LittleEndian.Uint16(body[:2]))
-		vct := body[2+n:]
-		pt, err := kr.NonDet.Decrypt(vct)
-		if err != nil {
-			out.macFailures++
-			return
-		}
-		t, err := decodeTuplePlain(pt)
-		if err != nil {
-			out.err = err
-			return
-		}
-		out.partial.IDSum += t.ID
-		out.partial.Count++
-		if !t.Fake {
-			out.partial.Aggs[t.Group] = out.partial.Aggs[t.Group].Fold(t.Value)
-		}
+	batches := make([][]netsim.Envelope, len(keys), len(keys)+1)
+	labels := make([]string, len(keys), len(keys)+1)
+	for i, k := range keys {
+		batches[i], labels[i] = groups[k], strconv.Itoa(i)
 	}
-	outs := make([]chunkOutcome, len(keys))
-	cfg.forEachChunk(len(keys), func(i int) {
-		outs[i] = tp.runFold(
-			foldJob{worker: parts[i%len(parts)].ID, kind: "group-chunk", label: strconv.Itoa(i)},
-			groups[keys[i]], processEnv, sealedPartial(kr))
+	if len(forged) > 0 {
+		batches, labels = append(batches, forged), append(labels, "forged")
+	}
+	// Skip past the deterministic group ciphertext to the tuple.
+	proc := tupleProcessor(kr, func(body []byte) int { return 2 + int(binary.LittleEndian.Uint16(body[:2])) }, byGroup)
+	outs := make([]chunkOutcome, len(batches))
+	cfg.forEachChunk(len(batches), func(i int) {
+		outs[i] = tp.runFold(kr,
+			foldJob{worker: parts[i%len(parts)].ID, kind: "group-chunk", label: labels[i]},
+			batches[i], proc)
 	})
-	partials, leaves, err := tp.foldOutcomes(outs, &stats)
+
+	// Merge + integrity check.
+	partials, err := tp.foldAll(kr, cfg.Topology, outs, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	if len(forged) > 0 {
-		// Malformed envelopes visit a token without a partial upload: the
-		// token's only job is to flag them (its partial rides locally in
-		// the flat topology, sealed on demand by the tree reduce).
-		out := tp.runFold(foldJob{worker: parts[0].ID, kind: "group-chunk", label: "forged"}, forged, processEnv, nil)
-		stats.MACFailures += out.macFailures
-		if out.macFailures > 0 {
-			stats.Detected = true
-		}
-		if out.err != nil {
-			return nil, stats, out.err
-		}
-		partials = append(partials, out.partial)
-		leaves = append(leaves, leafPartial{partial: out.partial, worker: out.worker, end: out.wire.Time(tp.ro.cost)})
-	}
-
-	// Merge + integrity check.
-	if cfg.Topology.IsTree() {
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.Topology.Arity(), &stats); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		tp.phase(PhaseMerge)
-	}
 	tp.barrier(nil)
-	wantID, wantCount := expectedChecksum(parts, fakesPer)
-	res, detected := mergePartials(partials, wantID, wantCount)
+	res, detected := mergePartials(partials, col.wantID, col.wantCount)
 	if detected {
 		stats.Detected = true
 	}

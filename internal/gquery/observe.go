@@ -117,13 +117,14 @@ func (ro *runObs) phasePar(name string, makespan time.Duration) {
 // causal parent for envelopes sent during the phase.
 func (ro *runObs) curCtx() obs.SpanContext { return ro.cur.Context() }
 
-// span opens a named span under the given phase's span (falling back to
-// the run root), annotated with alternating key/value pairs. Safe from
-// fleet workers: the phases map is only written at phase barriers.
+// span opens a named span under the given phase's span — or, before
+// that phase has opened, under the phase open at the time — annotated
+// with alternating key/value pairs. Safe from fleet workers: the phases
+// map and cur are only written at phase barriers.
 func (ro *runObs) span(name, phase string, attrs ...string) *obs.Span {
 	parent := ro.phases[phase]
 	if parent == nil {
-		parent = ro.root
+		parent = ro.cur
 	}
 	sp := ro.reg.Tracer().Start(name, parent)
 	annotate(sp, attrs)

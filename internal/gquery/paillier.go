@@ -53,14 +53,16 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 	// Collection: payload = u16 gctLen | gct | u16 idBlobLen | idBlob | vct
 	// where idBlob = (u64 id | mac32) and vct is the Paillier ciphertext.
 	cipherLen := pk.CipherLen()
+	col := &collector{tp: tp, srv: srv}
 	for _, p := range parts {
-		for seq, t := range p.Tuples {
+		err := col.upload(p.ID, len(p.Tuples), func(seq int) ([]byte, error) {
+			t := p.Tuples[seq]
 			if t.Value < 0 {
-				return nil, stats, fmt.Errorf("gquery: paillier protocol needs non-negative values, got %d", t.Value)
+				return nil, fmt.Errorf("gquery: paillier protocol needs non-negative values, got %d", t.Value)
 			}
 			gct, err := kr.Det.Encrypt([]byte(t.Group))
 			if err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 			id := ssi.HashID(p.ID, seq)
 			var idb [8]byte
@@ -68,7 +70,7 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 			idBlob := append(idb[:], privcrypto.MAC(kr.MACKey, idb[:])...)
 			vct, err := pk.EncryptInt64(t.Value, nil)
 			if err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 			payload := make([]byte, 0, 4+len(gct)+len(idBlob)+cipherLen)
 			var b2 [2]byte
@@ -81,15 +83,15 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 			off := len(payload)
 			payload = payload[:off+cipherLen]
 			vct.FillBytes(payload[off:])
-			if err := tp.send(netsim.Envelope{From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload},
-				srv.Receive); err != nil {
-				return nil, stats, err
-			}
+			return payload, nil
+		})
+		if err != nil {
+			return nil, stats, err
 		}
 	}
 	// Phase barrier: delayed uploads surface before grouping.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phasePar(PhasePartition, col.makespan)
 	srv.BindTrace(tp.ro.curCtx())
 
 	// The SSI groups by det ciphertext and aggregates homomorphically.
@@ -172,7 +174,7 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 	stats.WorkerCalls = 1 // only the final decryption token
 
 	tp.barrier(nil)
-	wantID, wantCount := expectedChecksum(parts, nil)
+	wantID, wantCount := expectedChecksum(parts)
 	if idSum != wantID || count != wantCount {
 		stats.Detected = true
 	}

@@ -3,7 +3,6 @@ package gquery
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
@@ -29,11 +28,9 @@ type RunConfig struct {
 	// the pre-reliability engine.
 	Faults *netsim.FaultPlan
 	// MaxRetries bounds retransmissions per frame when Faults is set;
-	// <= 0 selects netsim.DefaultMaxRetries.
+	// <= 0 selects netsim.DefaultMaxRetries. Retransmissions wait
+	// netsim.DefaultBackoff, doubling per retry.
 	MaxRetries int
-	// Backoff is the base simulated retransmission wait when Faults is
-	// set, doubling per retry; <= 0 selects netsim.DefaultBackoff.
-	Backoff time.Duration
 
 	// Topology selects the fan-in structure of the aggregation plane:
 	// the zero value is the flat historical round trip (one final merge
@@ -42,11 +39,6 @@ type RunConfig struct {
 	// way: GroupAgg.Merge is associative and commutative, and the
 	// checksum sums are order-free.
 	Topology Topology
-
-	// MaxInflight bounds how many filled-but-unfolded chunks a streaming
-	// run (SecureAggStream) may buffer at once — the knob that keeps a
-	// million-token run's memory flat; <= 0 derives 2·workers+2.
-	MaxInflight int
 
 	// observer, when non-nil, receives the run's metrics and spans merged
 	// in at the end of the run. Set through gquery.WithObserver; every run
@@ -106,19 +98,10 @@ func (c RunConfig) forEachChunk(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// maxInflight resolves the streaming chunk-buffer bound.
-func (c RunConfig) maxInflight() int {
-	if c.MaxInflight > 0 {
-		return c.MaxInflight
-	}
-	return 2*c.workers(1<<30) + 2
-}
-
-// chunkOutcome is the per-chunk output of a worker token, folded into
-// RunStats and the partial list in deterministic chunk order. sealed
-// and wire feed the tree reduce: the partial's wire form and the
-// chunk's clean-model traffic, which places the leaf on its virtual
-// timeline.
+// chunkOutcome is the per-chunk output of a worker token, handed to
+// the fold plane in deterministic chunk order. sealed and wire feed the
+// plane: the partial's wire form and the chunk's clean-model traffic,
+// which places the leaf on its virtual timeline.
 type chunkOutcome struct {
 	partial     partialAgg
 	sealed      []byte

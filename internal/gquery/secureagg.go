@@ -3,8 +3,6 @@ package gquery
 import (
 	"strconv"
 
-	"pds/internal/netsim"
-	"pds/internal/ssi"
 	tnet "pds/internal/transport"
 )
 
@@ -35,27 +33,15 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	defer tp.close()
 
 	// Collection phase.
+	col := &collector{tp: tp, srv: srv}
 	for _, p := range parts {
-		for seq, t := range p.Tuples {
-			pt := encodeTuplePlain(tuplePlain{
-				ID:    ssi.HashID(p.ID, seq),
-				Group: t.Group,
-				Value: t.Value,
-			})
-			ct, err := kr.NonDet.Encrypt(pt)
-			if err != nil {
-				return nil, stats, err
-			}
-			if err := tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: seal(kr, ct),
-			}, srv.Receive); err != nil {
-				return nil, stats, err
-			}
+		if err := col.uploadTuples(kr, p.ID, pdsTuples(p), nil); err != nil {
+			return nil, stats, err
 		}
 	}
 	// Phase barrier: delayed uploads surface before partitioning.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phasePar(PhasePartition, col.makespan)
 	srv.BindTrace(tp.ro.curCtx())
 
 	// Partition phase (where a weakly-malicious SSI misbehaves).
@@ -67,37 +53,20 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	tp.phase(PhaseTokenFold)
 
 	// Aggregation phase: the token fleet processes chunks independently
-	// through the shared fold step (fold.go).
+	// through the shared fold step (fold.go), and the fold plane merges
+	// the partials (topology.go).
 	outs := make([]chunkOutcome, len(chunks))
 	cfg.forEachChunk(len(chunks), func(i int) {
-		outs[i] = tp.runFold(
+		outs[i] = tp.runFold(kr,
 			foldJob{worker: parts[i%len(parts)].ID, kind: "chunk", label: strconv.Itoa(i)},
-			chunks[i], tupleProcessor(kr), sealedPartial(kr))
+			chunks[i], tupleProcessor(kr, nil, byGroup))
 	})
-	partials, leaves, err := tp.foldOutcomes(outs, &stats)
+	partials, err := tp.foldAll(kr, cfg.Topology, outs, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-
-	if cfg.Topology.IsTree() {
-		// Hierarchical merge: partials climb the fan-in tree; the querier
-		// receives a single root partial.
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.Topology.Arity(), &stats); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		// Flat merge phase at the single final token.
-		tp.phase(PhaseMerge)
-		finalTo := parts[0].ID
-		for range partials {
-			if err := tp.send(netsim.Envelope{From: "ssi", To: finalTo, Kind: "merge", Payload: nil}, nil); err != nil {
-				return nil, stats, err
-			}
-		}
-	}
 	tp.barrier(nil)
-	wantID, wantCount := expectedChecksum(parts, nil)
-	res, detected := mergePartials(partials, wantID, wantCount)
+	res, detected := mergePartials(partials, col.wantID, col.wantCount)
 	if detected {
 		stats.Detected = true
 	}

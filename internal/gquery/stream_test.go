@@ -35,6 +35,38 @@ func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 			if !topo.IsTree() && (stats.TreeDepth != 0 || stats.TreeNodes != 0) {
 				t.Fatalf("flat stream reported tree shape: %+v", stats)
 			}
+			// The phase breakdown names the four protocol phases only:
+			// per-chunk dispatch spans nest under the open phase.
+			for _, ph := range stats.CriticalPath.Phases {
+				switch ph.Name {
+				case PhaseCollect, PhasePartition, PhaseTokenFold, PhaseMerge:
+				default:
+					t.Fatalf("%v workers=%d: pseudo-phase %q in critical path", topo, workers, ph.Name)
+				}
+			}
+			if len(stats.CriticalPath.Phases) != 4 {
+				t.Fatalf("%v workers=%d: %d phases, want 4", topo, workers, len(stats.CriticalPath.Phases))
+			}
+
+			// Batch and stream run one fold plane: on the same SSI over a
+			// clean wire they cost the same, fold the same tree and lay
+			// out the same critical path.
+			net, srv = freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+			bres, batch, err := eng.SecureAgg(net, srv, parts, kr, 5)
+			if err != nil {
+				t.Fatalf("%v workers=%d batch: %v", topo, workers, err)
+			}
+			if !resultsEqual(bres, res) {
+				t.Fatalf("%v workers=%d: batch and stream results differ", topo, workers)
+			}
+			if batch.Net != stats.Net || batch.Chunks != stats.Chunks || batch.WorkerCalls != stats.WorkerCalls ||
+				batch.TreeDepth != stats.TreeDepth || batch.TreeNodes != stats.TreeNodes ||
+				batch.CriticalPath.TotalNS != stats.CriticalPath.TotalNS {
+				t.Fatalf("%v workers=%d: batch/stream RunStats differ:\nbatch  %v chunks=%d calls=%d depth=%d nodes=%d crit=%d\nstream %v chunks=%d calls=%d depth=%d nodes=%d crit=%d",
+					topo, workers,
+					batch.Net, batch.Chunks, batch.WorkerCalls, batch.TreeDepth, batch.TreeNodes, batch.CriticalPath.TotalNS,
+					stats.Net, stats.Chunks, stats.WorkerCalls, stats.TreeDepth, stats.TreeNodes, stats.CriticalPath.TotalNS)
+			}
 		}
 	}
 }

@@ -25,13 +25,6 @@ type transport struct {
 
 	mu    sync.Mutex
 	links map[string]*netsim.Link
-
-	// collect, when non-nil (tree and streaming runs), accumulates each
-	// PDS's upload traffic so the collection phase can be charged at its
-	// parallel makespan — every PDS is its own serial resource — instead
-	// of the flat serial tick. Flat runs leave it nil and keep the
-	// historical serial accounting.
-	collect map[string]netsim.Stats
 }
 
 // newTransport opens one run's wire epoch: the run-local observer registry
@@ -39,12 +32,9 @@ type transport struct {
 // injected fault of this run is attributed to this run.
 func newTransport(w tnet.Transport, cfg RunConfig, proto string) *transport {
 	tp := &transport{wire: w, links: map[string]*netsim.Link{}, ro: newRunObs(w, cfg.observer, proto)}
-	if cfg.Topology.IsTree() {
-		tp.collect = map[string]netsim.Stats{}
-	}
 	if cfg.Faults != nil {
 		tp.on = true
-		tp.rel = netsim.Reliability{MaxRetries: cfg.MaxRetries, Backoff: cfg.Backoff}
+		tp.rel = netsim.Reliability{MaxRetries: cfg.MaxRetries, Backoff: netsim.DefaultBackoff}
 		tp.prev = w.Faults()
 		w.SetFaults(netsim.NewFaultPlane(*cfg.Faults))
 	}
@@ -69,23 +59,6 @@ func (tp *transport) phase(name string) { tp.ro.phase(name) }
 // phasePar marks a phase boundary whose traffic ran on overlapping
 // per-token timelines (see runObs.phasePar).
 func (tp *transport) phasePar(name string, makespan time.Duration) { tp.ro.phasePar(name, makespan) }
-
-// endCollect closes the collection phase: at the slowest single PDS's
-// upload cost when per-token accounting is on, at the flat serial
-// charge otherwise.
-func (tp *transport) endCollect() {
-	if tp.collect == nil {
-		tp.phase(PhasePartition)
-		return
-	}
-	var makespan time.Duration
-	for _, s := range tp.collect {
-		if d := s.Time(tp.ro.cost); d > makespan {
-			makespan = d
-		}
-	}
-	tp.phasePar(PhasePartition, makespan)
-}
 
 // finish derives the cost side of RunStats from the run's registry.
 func (tp *transport) finish(stats *RunStats) { tp.ro.finish(stats) }
@@ -122,12 +95,6 @@ func (tp *transport) link(kind string) *netsim.Link {
 func (tp *transport) send(e netsim.Envelope, rcv func(netsim.Envelope)) error {
 	if e.Ctx.IsZero() {
 		e.Ctx = tp.ro.curCtx()
-	}
-	if tp.collect != nil && e.Kind == "tuple" {
-		s := tp.collect[e.From]
-		s.Messages++
-		s.Bytes += int64(len(e.Payload))
-		tp.collect[e.From] = s
 	}
 	if !tp.on {
 		out := tp.wire.Send(e)

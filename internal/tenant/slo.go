@@ -79,10 +79,13 @@ type BurnTracker struct {
 }
 
 // NewBurnTracker builds a tracker updating gauges and alerts in reg.
+// Its per-class burn gauges are registered at zero here, so a scrape
+// taken before the first arrival already sees a non-empty exposition.
 func NewBurnTracker(cfg SLOConfig, reg *obs.Registry) *BurnTracker {
 	b := &BurnTracker{cfg: cfg.withDefaults(), reg: reg}
 	for c := Class(0); c < NumClasses; c++ {
 		b.burns[c].Class = c.String()
+		reg.Gauge(MetricBurn, "class", c.String())
 	}
 	return b
 }
